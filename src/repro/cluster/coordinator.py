@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from ..core.planner.plan import TrainingPlan
+from ..core.planner.plan import TrainingPlan, check_plan_fits, stage_gpus
 from .job import TrainingJob
 from .runtime import GPURuntime
 
@@ -46,39 +46,12 @@ class ClusterCoordinator:
         """
         if isinstance(plan, str):
             plan = TrainingPlan.from_json(plan)
-        if plan.max_gpus_used() > self.num_gpus:
-            raise ValueError(
-                f"plan requires {plan.max_gpus_used()} GPUs but the cluster has "
-                f"{self.num_gpus}"
-            )
+        check_plan_fits(plan, self.num_gpus)
         for runtime in self.runtimes:
             runtime.foreground_busy_time = 0.0
             runtime.foreground_assignments = []
         for assignment in plan.assignments:
-            width = assignment.num_gpus
-            if assignment.parallel_branch:
-                # Concurrent non-critical branches use the top of the GPU
-                # range.  The branch runs at the same time as its block's
-                # critical branch (which grows from GPU 0), so a branch as
-                # wide as the cluster necessarily overlaps it and the same
-                # GPU would be assigned twice for the same time slot.
-                # Narrower overlaps cannot be detected here: the serialized
-                # plan does not record which non-branch stages belong to the
-                # same block, and stages of *other* blocks legitimately
-                # share GPUs with this branch (they run at different times).
-                # The planner itself guarantees per-block disjointness.
-                if width >= self.num_gpus:
-                    raise ValueError(
-                        f"parallel branch layer {assignment.layer_name!r} uses "
-                        f"{width} GPUs, which would overlap the critical-path "
-                        f"GPU range on a {self.num_gpus}-GPU cluster; "
-                        "concurrent branches must leave room for the critical "
-                        "branch"
-                    )
-                gpu_ids = range(self.num_gpus - width, self.num_gpus)
-            else:
-                gpu_ids = range(0, width)
-            for gpu_id in gpu_ids:
+            for gpu_id in stage_gpus(assignment, self.num_gpus):
                 self.runtimes[gpu_id].assign_stage(assignment)
         return self.runtimes
 

@@ -6,7 +6,9 @@ Public API:
   parallel, data-parallel, and single-GPU training plans.
 * :class:`~repro.core.planner.plan.TrainingPlan` /
   :class:`~repro.core.planner.plan.LayerAssignment` — the plan artifact
-  (JSON-serializable, consumed by the cluster simulator).
+  (JSON-serializable, consumed by the cluster simulator);
+  :func:`~repro.core.planner.plan.plan_occupancy` derives a plan's per-GPU
+  busy fractions and GPU-seconds.
 * :class:`~repro.core.planner.costs.PlannerCostModel` — the
   ``comp``/``sync``/``comm`` cost inputs.
 * :func:`~repro.core.planner.linear_search.solve_chain` — Algorithm 1.
@@ -20,7 +22,7 @@ Public API:
 from .costs import PlannerCostModel, candidate_gpu_counts
 from .graph_reduction import BlockNode, LayerNode, build_chain_nodes
 from .linear_search import ChainSolution, NodeDecision, solve_chain
-from .plan import LayerAssignment, TrainingPlan
+from .plan import LayerAssignment, PlanOccupancy, TrainingPlan, plan_occupancy
 from .planner import BurstParallelPlanner, PlannerConfig
 from .pool import PlannerPool, PlanRequest
 
@@ -31,6 +33,8 @@ __all__ = [
     "PlanRequest",
     "TrainingPlan",
     "LayerAssignment",
+    "PlanOccupancy",
+    "plan_occupancy",
     "PlannerCostModel",
     "candidate_gpu_counts",
     "solve_chain",

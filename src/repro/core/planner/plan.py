@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
-__all__ = ["LayerAssignment", "TrainingPlan"]
+__all__ = [
+    "LayerAssignment",
+    "TrainingPlan",
+    "PlanOccupancy",
+    "check_plan_fits",
+    "stage_gpus",
+    "plan_occupancy",
+]
 
 
 @dataclass(frozen=True)
@@ -188,3 +195,77 @@ class TrainingPlan:
                 )
                 run_start = i
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------- placement
+def check_plan_fits(plan: TrainingPlan, num_gpus: int) -> None:
+    """Reject a plan whose widest burst needs more than ``num_gpus`` GPUs."""
+    if plan.max_gpus_used() > num_gpus:
+        raise ValueError(
+            f"plan requires {plan.max_gpus_used()} GPUs but the cluster has "
+            f"{num_gpus}"
+        )
+
+
+def stage_gpus(assignment: LayerAssignment, num_gpus: int) -> range:
+    """GPU indices one stage runs on when its plan is placed on ``num_gpus``.
+
+    A stage scaled to ``w`` GPUs runs on GPUs ``0 .. w-1`` ("bursting"
+    always grows from the same base set), while a concurrent non-critical
+    branch uses the top of the GPU range.  The branch runs at the same time
+    as its block's critical branch (which grows from GPU 0), so a branch as
+    wide as the cluster necessarily overlaps it and the same GPU would be
+    assigned twice for the same time slot.  Narrower overlaps cannot be
+    detected here: the serialized plan does not record which non-branch
+    stages belong to the same block, and stages of *other* blocks
+    legitimately share GPUs with this branch (they run at different times).
+    The planner itself guarantees per-block disjointness.
+    """
+    width = assignment.num_gpus
+    if not assignment.parallel_branch:
+        return range(0, width)
+    if width >= num_gpus:
+        raise ValueError(
+            f"parallel branch layer {assignment.layer_name!r} uses "
+            f"{width} GPUs, which would overlap the critical-path "
+            f"GPU range on a {num_gpus}-GPU cluster; "
+            "concurrent branches must leave room for the critical "
+            "branch"
+        )
+    return range(num_gpus - width, num_gpus)
+
+
+class PlanOccupancy(NamedTuple):
+    """What one iteration of a placed plan costs each of its GPUs."""
+
+    #: Per-GPU fraction of the iteration spent on foreground stages.
+    busy_fractions: Tuple[float, ...]
+    #: GPU-seconds one iteration consumes (``TrainingPlan.total_gpu_seconds``).
+    gpu_seconds: float
+
+
+def plan_occupancy(plan: TrainingPlan) -> PlanOccupancy:
+    """Per-GPU busy fractions and GPU-seconds of a plan on its own GPUs.
+
+    A pure function of the plan: the plan is placed on ``plan.total_gpus``
+    GPUs by :func:`stage_gpus` and each GPU's stage times are summed in
+    assignment order, so the result is bit-identical to
+    :meth:`~repro.cluster.coordinator.ClusterCoordinator.place_plan`
+    followed by ``busy_fractions(plan.iteration_time)`` — and raises the
+    same ``ValueError`` for plans that do not fit.
+    """
+    num_gpus = plan.total_gpus
+    if num_gpus < 1:
+        raise ValueError("num_gpus must be at least 1")
+    check_plan_fits(plan, num_gpus)
+    busy = [0.0] * num_gpus
+    for assignment in plan.assignments:
+        stage_time = assignment.stage_time
+        for gpu_id in stage_gpus(assignment, num_gpus):
+            busy[gpu_id] += stage_time
+    iteration_time = plan.iteration_time
+    if iteration_time <= 0:
+        fractions = (0.0,) * num_gpus
+    else:
+        fractions = tuple(min(1.0, b / iteration_time) for b in busy)
+    return PlanOccupancy(fractions, plan.total_gpu_seconds())

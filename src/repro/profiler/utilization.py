@@ -11,15 +11,20 @@ weighted by the time it occupies the device.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Sequence
 
 from ..models.graph import ModelGraph
 from .gpu_spec import GPUSpec, A100_40GB
 from .layer_profiler import LayerProfiler
 
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
 __all__ = ["UtilizationCDF", "utilization_cdf", "mean_utilization"]
+
+# numpy is imported inside the functions that use it: this Figure 4 analysis
+# is the package's only numpy user, and importing it with ``repro.profiler``
+# would cost every scheduler, planner and service process ~13 MB of RSS.
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,8 @@ class UtilizationCDF:
 
     def fraction_below(self, threshold: float) -> float:
         """Fraction of device time spent below a utilization threshold."""
+        import numpy as np
+
         if threshold <= 0:
             return 0.0
         idx = np.searchsorted(self.utilization, threshold, side="left")
@@ -45,6 +52,8 @@ class UtilizationCDF:
 
     def mean(self) -> float:
         """Time-weighted mean utilization."""
+        import numpy as np
+
         weights = np.diff(np.concatenate([[0.0], self.cumulative]))
         return float(np.sum(self.utilization * weights))
 
@@ -56,6 +65,8 @@ def utilization_cdf(
     profiler: LayerProfiler | None = None,
 ) -> UtilizationCDF:
     """Compute the time-weighted utilization CDF at one minibatch size."""
+    import numpy as np
+
     prof = profiler if profiler is not None else LayerProfiler(gpu)
     profile = prof.profile_model(graph, [batch])
     samples = profile.utilization_samples(batch)

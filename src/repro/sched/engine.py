@@ -82,7 +82,7 @@ class _JobState:
         self.plan: Optional[TrainingPlan] = None
         self.base_iter_time = 0.0
         self.work_per_iteration = 0.0  # busy GPU-seconds per iteration
-        self.busy_fractions: List[float] = []
+        self.busy_fractions: Sequence[float] = ()
         self.hosted: Dict[int, "_JobState"] = {}  # local GPU index -> bg job
         #: Guests ordered by arrival order, maintained on attach/detach.
         self.guest_order = SortedJobList()
@@ -194,6 +194,7 @@ class SchedulerEngine:
         scheduler._bg_dedicated = SortedJobList()
         scheduler._free = self.free
         scheduler._track_failures = False
+        scheduler._slot_version += 1  # a new run's collocation slots
         self._recorder = scheduler._recorder
         if self._recorder is not None:
             self._recorder.begin_run(scheduler.fleet, self.policy.name)
@@ -358,6 +359,7 @@ class SchedulerEngine:
         gpus = tuple(state.gpu_ids)
         if state.is_foreground:
             sched._fg_running.remove(state)
+            sched._slot_version += 1
         elif not state.collocated:
             sched._bg_dedicated.remove(state)
         sched._advance(state, now)
@@ -368,6 +370,7 @@ class SchedulerEngine:
             del host.hosted[state.host_index]
             host.guest_order.remove(state)
             state.host = None
+            sched._slot_version += 1
             if not host.hosted:
                 # Last guest left: the host runs at full speed again.
                 sched._advance(host, now)

@@ -21,6 +21,7 @@ failure storms run after run.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -44,6 +45,10 @@ class NodeFailure:
     duration: float
 
     def __post_init__(self) -> None:
+        for name in ("time", "duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"failure {name} must be finite, got {value!r}")
         if self.time < 0:
             raise ValueError("failure time must be non-negative")
         if self.host < 0:
@@ -78,6 +83,10 @@ class CheckpointModel:
     restart_overhead_s: float = 15.0
 
     def __post_init__(self) -> None:
+        for name in ("interval_s", "restart_overhead_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"checkpoint {name} must be finite, got {value!r}")
         if self.interval_s <= 0:
             raise ValueError("checkpoint interval_s must be positive")
         if self.restart_overhead_s < 0:

@@ -234,11 +234,18 @@ class FleetPool:
         return self._free[pool_name].take(count)
 
     def release(self, gpu_ids: Iterable[int]) -> None:
-        """Return GPUs to their pools (GPUs on a down host stay down)."""
+        """Return GPUs to their pools (GPUs on a down host stay down).
+
+        One :meth:`GpuPool.release` call per pool touched, so the
+        ``sched.gpu_pool.releases`` counter counts calls, like ``takes``.
+        """
+        by_pool: Dict[str, List[int]] = {}
         for gpu_id in gpu_ids:
             if gpu_id in self._down:
                 continue  # absorbed until the host recovers
-            self._free[self._fleet.pool_of_gpu(gpu_id)].release([gpu_id])
+            by_pool.setdefault(self._fleet.pool_of_gpu(gpu_id), []).append(gpu_id)
+        for name, ids in by_pool.items():
+            self._free[name].release(ids)
 
     def fail_host(self, host_id: int) -> Tuple[int, ...]:
         """Mark a host down; its free GPUs leave the pool immediately.

@@ -4,10 +4,10 @@ This is the cluster-manager story of the paper turned into a discrete-event
 simulator: a stream of :class:`~repro.sched.traces.TraceJob`\\ s arrives over
 time, a :class:`~repro.sched.policies.SchedulingPolicy` decides admission
 order and GPU widths, the :class:`~repro.core.planner.planner.BurstParallelPlanner`
-produces a burst-parallel plan for every foreground placement, the
-:class:`~repro.cluster.coordinator.ClusterCoordinator` maps the plan onto the
-job's GPUs (yielding per-GPU busy fractions), and background jobs are packed
-onto the idle gaps of foreground GPUs through the
+produces a burst-parallel plan for every foreground placement,
+:func:`~repro.core.planner.plan.plan_occupancy` derives the plan's per-GPU
+busy fractions (once per plan, memoized beside the plan cache), and
+background jobs are packed onto the idle gaps of foreground GPUs through the
 :class:`~repro.cluster.executor.CollocationProfile`.
 
 The event loop supports the dynamics a real cluster manager needs:
@@ -61,9 +61,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cluster.coordinator import ClusterCoordinator
 from ..cluster.executor import CollocationProfile
-from ..core.planner.plan import TrainingPlan
+from ..core.planner.plan import PlanOccupancy, TrainingPlan, plan_occupancy
 from ..core.planner.planner import BurstParallelPlanner
 from ..core.planner.pool import PlannerPool, PlanRequest
 from ..models.graph import ModelGraph
@@ -103,6 +102,10 @@ from .policies import SchedulingPolicy, floor_pow2, width_cap
 from .traces import TraceJob
 
 __all__ = ["ClusterScheduler", "ScheduleResult"]
+
+#: Plan-cache key: (model, global batch, width, amplification limit,
+#: planner fingerprint).
+_PlanKey = Tuple[str, int, int, float, str]
 
 
 class ClusterScheduler:
@@ -162,7 +165,12 @@ class ClusterScheduler:
         self._reference_pool = fleet.speed_order[0]
         self._pool_profilers: Dict[str, LayerProfiler] = {}
         self._pool_planners: Dict[str, BurstParallelPlanner] = {}
-        self._plan_cache: Dict[Tuple[str, int, int, float, str], TrainingPlan] = {}
+        self._plan_cache: Dict[_PlanKey, TrainingPlan] = {}
+        # Occupancy of each installed plan, under its plan-cache key.  Filled
+        # on first install (never by prewarming, which plans far more than a
+        # run installs); plan-cache entries are never replaced, so an entry
+        # here can never go stale.
+        self._occupancy_cache: Dict[_PlanKey, PlanOccupancy] = {}
         self._graph_cache: Dict[str, ModelGraph] = {}
         self._iso_cache: Dict[Tuple[str, int, str], float] = {}
         self._states: Dict[str, _JobState] = {}
@@ -175,6 +183,13 @@ class ClusterScheduler:
         self._bg_dedicated = SortedJobList()
         self._free = FleetPool(fleet)
         self._track_failures = False
+        # Empty background-slot searches are memoized: ``_slot_version``
+        # counts every change to the set of collocation slots (plans
+        # installed, foreground jobs removed, guests attached or gone, host
+        # failures, new or restored runs), and ``_no_slot`` holds the
+        # ``(version, min_efficiency)`` of the last search that found nothing.
+        self._slot_version = 0
+        self._no_slot: Optional[Tuple[int, float]] = None
         # Observability seams (repro.obs).  ``None`` means disabled; every
         # emission site guards on that, so an unobserved run pays exactly one
         # attribute load + ``is None`` test per state change — nothing else.
@@ -292,11 +307,14 @@ class ClusterScheduler:
         width: int,
         amp_limit: float,
         gpu_pool: Optional[str] = None,
-    ) -> Tuple[str, int, int, float, str]:
+    ) -> _PlanKey:
         planner = self.planner if gpu_pool is None else self._planner_for(gpu_pool)
         return (model, batch, width, amp_limit, self._fingerprint_of(planner))
 
-    def _plan_for(self, state: _JobState, width: int, gpu_pool: str) -> TrainingPlan:
+    def _plan_for(
+        self, state: _JobState, width: int, gpu_pool: str
+    ) -> Tuple[_PlanKey, TrainingPlan]:
+        """The plan-cache key and plan of one job at one (pool, width)."""
         key = self._plan_cache_key(
             state.trace.model,
             state.global_batch,
@@ -304,14 +322,15 @@ class ClusterScheduler:
             state.trace.amplification_limit,
             gpu_pool,
         )
-        if key not in self._plan_cache:
-            self._plan_cache[key] = self._planner_for(gpu_pool).plan(
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            plan = self._plan_cache[key] = self._planner_for(gpu_pool).plan(
                 state.graph,
                 state.global_batch,
                 width,
                 amplification_limit=state.trace.amplification_limit,
             )
-        return self._plan_cache[key]
+        return key, plan
 
     def prewarm_plans(
         self,
@@ -598,21 +617,23 @@ class ClusterScheduler:
         state.penalty_until = 0.0
 
     # --------------------------------------------------------------- placement
-    def _install_plan(self, state: _JobState, plan: TrainingPlan) -> None:
+    def _install_plan(self, state: _JobState, key: _PlanKey, plan: TrainingPlan) -> None:
         """Bind a burst-parallel plan (and its per-GPU occupancy) to a job."""
-        coordinator = ClusterCoordinator(num_gpus=plan.total_gpus)
-        coordinator.place_plan(plan)
-        state.busy_fractions = coordinator.busy_fractions(plan.iteration_time)
+        occupancy = self._occupancy_cache.get(key)
+        if occupancy is None:
+            occupancy = self._occupancy_cache[key] = plan_occupancy(plan)
+        state.busy_fractions = occupancy.busy_fractions
         state.plan = plan
         state.base_iter_time = plan.iteration_time
-        state.work_per_iteration = plan.total_gpu_seconds()
+        state.work_per_iteration = occupancy.gpu_seconds
         state.width = plan.total_gpus
+        self._slot_version += 1
 
     def _start_foreground(
         self, state: _JobState, width: int, gpu_pool: str, now: float,
         free: FleetPool, queue: EventQueue,
     ) -> None:
-        self._install_plan(state, self._plan_for(state, width, gpu_pool))
+        self._install_plan(state, *self._plan_for(state, width, gpu_pool))
         state.gpu_ids = free.take(gpu_pool, width)
         state.gpu_type = gpu_pool
         state.hosted = {}
@@ -664,6 +685,7 @@ class ClusterScheduler:
         """Collocate a background job onto one GPU of a running foreground job."""
         first_guest = not host.hosted
         host.hosted[index] = state
+        self._slot_version += 1
         host.guest_order.add(state, (state.order,))
         state.host = host
         state.host_index = index
@@ -689,17 +711,24 @@ class ClusterScheduler:
             self._reschedule_finish(host, now, queue)
 
     def _pick_background_host(
-        self, states: Sequence[_JobState], min_efficiency: float
+        self, min_efficiency: float
     ) -> Optional[Tuple[_JobState, int]]:
         """Most-idle free slot on a running foreground job, or ``None``.
 
         Slots whose expected background efficiency falls below
         ``min_efficiency`` are not offered: a background job crawling beside
         an always-busy foreground is worse than waiting for a free GPU.
+
+        A search that finds nothing is remembered until the slot set changes
+        (``_slot_version``), so a backlog of background jobs behind a full
+        fleet costs one scan per change, not one per waiting job.
         """
+        memo = (self._slot_version, min_efficiency)
+        if self._no_slot == memo:
+            return None
         profile = self.collocation
         best: Optional[Tuple[float, int, int, _JobState]] = None
-        for fg in states:
+        for fg in self._fg_running:
             for index, busy in enumerate(fg.busy_fractions):
                 if index in fg.hosted:
                     continue
@@ -713,6 +742,7 @@ class ClusterScheduler:
                 if best is None or key < (best[0], best[1], best[2]):
                     best = (busy, fg.order, index, fg)
         if best is None:
+            self._no_slot = memo
             return None
         return best[3], best[2]
 
@@ -741,6 +771,7 @@ class ClusterScheduler:
         del state.host.hosted[state.host_index]
         state.host.guest_order.remove(state)
         state.host = None
+        self._slot_version += 1
         state.gpu_ids = []
         state.gpu_type = None
         state.status = _PENDING
@@ -824,6 +855,7 @@ class ClusterScheduler:
     ) -> None:
         """Take one host down: kill and re-queue everything it touches."""
         down = set(free.fail_host(host))
+        self._slot_version += 1
         if self._recorder is not None:
             pool = self.fleet.pool_of_host(host)
             self._recorder.emit(
@@ -856,6 +888,7 @@ class ClusterScheduler:
         gpu_pool = state.gpu_type or ""
         if state.is_foreground:
             self._fg_running.remove(state)
+            self._slot_version += 1
         elif not state.collocated:
             self._bg_dedicated.remove(state)
         self._advance(state, now)
@@ -867,6 +900,7 @@ class ClusterScheduler:
             del host.hosted[state.host_index]
             host.guest_order.remove(state)
             state.host = None
+            self._slot_version += 1
             if not host.hosted:
                 # Last guest left: the host runs at full speed again.
                 self._advance(host, now)
@@ -1011,9 +1045,7 @@ class ClusterScheduler:
                 return True
         if policy.collocate_background:
             min_efficiency = getattr(policy, "min_collocation_efficiency", 0.0)
-            host = self._pick_background_host(
-                list(self._fg_running), min_efficiency
-            )
+            host = self._pick_background_host(min_efficiency)
             if host is not None:
                 self._attach_background(state, host[0], host[1], now, queue)
                 return True
@@ -1047,9 +1079,9 @@ class ClusterScheduler:
                         floor_pow2(state.width + free.free_of(own)), floor_pow2(cap)
                     )
                     if new_width > state.width:
-                        plan = self._plan_for(state, new_width, own)
+                        key, plan = self._plan_for(state, new_width, own)
                         if plan.iteration_time < state.base_iter_time:
-                            self._replan(state, plan, new_width, now, free, queue)
+                            self._replan(state, key, plan, new_width, now, free, queue)
                             expanded = True
                             break
                 if policy.replan_across_types and not state.hosted:
@@ -1072,7 +1104,7 @@ class ClusterScheduler:
             width = min(floor_pow2(free.free_of(pool_name)), floor_pow2(cap))
             if width < 1:
                 continue
-            plan = self._plan_for(state, width, pool_name)
+            key, plan = self._plan_for(state, width, pool_name)
             if plan.iteration_time >= state.base_iter_time:
                 continue
             self._advance(state, now)
@@ -1081,7 +1113,7 @@ class ClusterScheduler:
             old_gpus = tuple(state.gpu_ids)
             state.gpu_ids = free.take(pool_name, width)
             state.gpu_type = pool_name
-            self._install_plan(state, plan)
+            self._install_plan(state, key, plan)
             if self._recorder is not None:
                 assert old_pool is not None
                 self._recorder.emit(
@@ -1108,8 +1140,8 @@ class ClusterScheduler:
         return False
 
     def _replan(
-        self, state: _JobState, plan: TrainingPlan, new_width: int, now: float,
-        free: FleetPool, queue: EventQueue,
+        self, state: _JobState, key: _PlanKey, plan: TrainingPlan, new_width: int,
+        now: float, free: FleetPool, queue: EventQueue,
     ) -> None:
         """Move a running foreground job to a wider plan, keeping progress."""
         self._advance(state, now)
@@ -1117,7 +1149,7 @@ class ClusterScheduler:
         old_width = state.width
         extra = free.take(state.gpu_type, new_width - state.width)
         state.gpu_ids = state.gpu_ids + extra
-        self._install_plan(state, plan)
+        self._install_plan(state, key, plan)
         if self._recorder is not None:
             self._recorder.emit(
                 now, EV_GPU_GRANT, job=state.name, pool=state.gpu_type,

@@ -289,7 +289,7 @@ class EngineSnapshot:
             state.plan = None  # write-only after installation; never read
             state.base_iter_time = row["base_iter_time"]
             state.work_per_iteration = row["work_per_iteration"]
-            state.busy_fractions = list(row["busy_fractions"])
+            state.busy_fractions = tuple(row["busy_fractions"])
             state.host_index = row["host_index"]
             state.placed_iso_time = row["placed_iso_time"]
             state.ckpt_remaining = row["ckpt_remaining"]
@@ -321,6 +321,7 @@ class EngineSnapshot:
         engine.pending.load(payload["pending"], states.__getitem__)
         sched._fg_running.load(payload["fg_running"], states.__getitem__)
         sched._bg_dedicated.load(payload["bg_dedicated"], states.__getitem__)
+        sched._slot_version += 1  # every collocation slot was replaced
         sched._track_failures = payload["track_failures"]
         engine.records.clear()
         engine.records.extend(_load_record(r) for r in payload["records"])

@@ -69,6 +69,10 @@ class TraceJob:
     max_gpus: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("arrival_time", "amplification_limit"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"job {self.name!r}: {name} must be finite, got {value!r}")
         if self.arrival_time < 0:
             raise ValueError(f"job {self.name!r}: arrival_time must be >= 0")
         if self.iterations < 1:

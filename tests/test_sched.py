@@ -103,6 +103,13 @@ class TestTraces:
         with pytest.raises(ValueError):
             TraceJob("x", "vgg16", 0, arrival_time=0.0, iterations=10)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["arrival_time", "amplification_limit"])
+    def test_trace_job_rejects_non_finite_field(self, field, value):
+        kwargs = {"arrival_time": 0.0, "iterations": 10, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TraceJob("x", "vgg16", 32, **kwargs)
+
     def test_trace_job_conversions(self):
         from repro.models import build_model
 

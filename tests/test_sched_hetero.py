@@ -157,6 +157,13 @@ class TestFailureSchedules:
         with pytest.raises(ValueError):
             NodeFailure(time=0.0, host=-1, duration=5.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["time", "duration"])
+    def test_node_failure_rejects_non_finite_field(self, field, value):
+        kwargs = {"time": 1.0, "host": 0, "duration": 5.0, field: value}
+        with pytest.raises(ValueError, match=f"failure {field} must be finite"):
+            NodeFailure(**kwargs)
+
     def test_validate_rejects_unknown_host_and_overlap(self):
         fleet = mixed_fleet(a100=4, v100=4, gpus_per_host=4)
         with pytest.raises(ValueError, match="host 9"):
@@ -185,6 +192,12 @@ class TestFailureSchedules:
             CheckpointModel(interval_s=0.0)
         with pytest.raises(ValueError):
             CheckpointModel(restart_overhead_s=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["interval_s", "restart_overhead_s"])
+    def test_checkpoint_model_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=f"checkpoint {field} must be finite"):
+            CheckpointModel(**{field: value})
 
 
 # ---------------------------------------------------------------------------
