@@ -70,8 +70,12 @@ class PlannerConfig:
     powers_of_two_only: bool = True
 
     def __post_init__(self) -> None:
-        if self.amplification_limit < 1.0:
-            raise ValueError("amplification_limit must be at least 1.0")
+        # ``not >=`` also refuses nan; inf (no limit) stays valid.
+        if not self.amplification_limit >= 1.0:
+            raise ValueError(
+                "amplification_limit must be at least 1.0, got "
+                f"{self.amplification_limit!r}"
+            )
 
 
 class BurstParallelPlanner:

@@ -85,6 +85,9 @@ class SchedulingPolicy(ABC):
     #: computed at insertion; a policy whose keys drift with time must set
     #: this so the queue is re-keyed before every placement pass.
     dynamic_priority: bool = False
+    #: With ``collocate_background``: the least expected efficiency (fraction
+    #: of isolated throughput) a collocation slot must offer a background job.
+    min_collocation_efficiency: float = 0.0
 
     @abstractmethod
     def sort_key(self, job, now: float) -> Tuple:
@@ -123,6 +126,10 @@ class SchedulingPolicy(ABC):
         letting the head of the queue monopolize it.  The default behaviour
         backfills greedily: the job takes the largest power-of-two width
         that fits the free pool.
+
+        A width must lie in ``[1, free_gpus]``; the scheduler raises
+        ``ValueError`` on any other, and relies on it to stop scanning a
+        queue that cannot be placed.
         """
         del pending_foreground
         desired = self.desired_width(job, num_gpus)

@@ -51,10 +51,12 @@ The placement pass is *incremental*: the pending queue, the running
 foreground jobs, the dedicated background jobs and each host's guests are
 kept in mutation-maintained order (:mod:`repro.sched.ordering`) instead of
 being re-sorted on every event, so one scheduling point costs O(changes ·
-log n), not O(n log n).  Everything is deterministic: identical traces,
-policies and failure schedules produce bit-identical
-:class:`~repro.sched.metrics.FleetMetrics` — and a homogeneous one-pool
-fleet reproduces the pre-fleet scheduler bit for bit.
+log n), not O(n log n); and a pass stops as soon as no pending job can be
+placed, so a saturated fleet's backlog is not rescanned at every event.
+Everything is deterministic: identical traces, policies and failure
+schedules produce bit-identical :class:`~repro.sched.metrics.FleetMetrics`
+— and a homogeneous one-pool fleet reproduces the pre-fleet scheduler bit
+for bit.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from ..core.planner.pool import PlannerPool, PlanRequest
 from ..models.graph import ModelGraph
 from ..models.registry import build_model
 from ..network.fabric import NetworkFabric, get_fabric
+from ..obs.metrics import global_registry
 from ..obs.sampler import TimeSeriesSampler
 from ..obs.trace import (
     EV_COLLOCATE,
@@ -106,6 +109,9 @@ __all__ = ["ClusterScheduler", "ScheduleResult"]
 #: Plan-cache key: (model, global batch, width, amplification limit,
 #: planner fingerprint).
 _PlanKey = Tuple[str, int, int, float, str]
+
+#: Pending jobs examined by placement passes, added once per pass.
+_PENDING_SCANNED = global_registry().counter("sched.pending.scanned")
 
 
 class ClusterScheduler:
@@ -183,13 +189,17 @@ class ClusterScheduler:
         self._bg_dedicated = SortedJobList()
         self._free = FleetPool(fleet)
         self._track_failures = False
-        # Empty background-slot searches are memoized: ``_slot_version``
-        # counts every change to the set of collocation slots (plans
-        # installed, foreground jobs removed, guests attached or gone, host
-        # failures, new or restored runs), and ``_no_slot`` holds the
-        # ``(version, min_efficiency)`` of the last search that found nothing.
+        # Background-slot searches are memoized: ``_slot_version`` counts
+        # every change to the set of collocation slots (plans installed,
+        # foreground jobs removed, guests attached or gone, host failures,
+        # new or restored runs), and ``_slot_memo`` holds the last search as
+        # ``((version, min_efficiency), slot or None)`` — found slots and
+        # empty searches alike.  Versions start at 0, so the initial key
+        # never matches.
         self._slot_version = 0
-        self._no_slot: Optional[Tuple[int, float]] = None
+        self._slot_memo: Tuple[
+            Tuple[int, float], Optional[Tuple[_JobState, int]]
+        ] = ((-1, 0.0), None)
         # Observability seams (repro.obs).  ``None`` means disabled; every
         # emission site guards on that, so an unobserved run pays exactly one
         # attribute load + ``is None`` test per state change — nothing else.
@@ -719,13 +729,14 @@ class ClusterScheduler:
         ``min_efficiency`` are not offered: a background job crawling beside
         an always-busy foreground is worse than waiting for a free GPU.
 
-        A search that finds nothing is remembered until the slot set changes
-        (``_slot_version``), so a backlog of background jobs behind a full
-        fleet costs one scan per change, not one per waiting job.
+        A search's answer, slot or none, is remembered until the slot set
+        changes (``_slot_version``), so a backlog of background jobs behind a
+        full fleet costs one scan per change, not one per waiting job.
         """
-        memo = (self._slot_version, min_efficiency)
-        if self._no_slot == memo:
-            return None
+        memo_key = (self._slot_version, min_efficiency)
+        memo = self._slot_memo
+        if memo[0] == memo_key:
+            return memo[1]
         profile = self.collocation
         best: Optional[Tuple[float, int, int, _JobState]] = None
         for fg in self._fg_running:
@@ -741,10 +752,9 @@ class ClusterScheduler:
                 key = (busy, fg.order, index)
                 if best is None or key < (best[0], best[1], best[2]):
                     best = (busy, fg.order, index, fg)
-        if best is None:
-            self._no_slot = memo
-            return None
-        return best[3], best[2]
+        found = None if best is None else (best[3], best[2])
+        self._slot_memo = (memo_key, found)
+        return found
 
     def _detach_background(
         self, state: _JobState, now: float, pending: PendingQueue,
@@ -946,6 +956,31 @@ class ClusterScheduler:
         )
 
     # -------------------------------------------------------------- scheduling
+    def _fleet_closed(
+        self, pending: PendingQueue, free: FleetPool, policy: SchedulingPolicy
+    ) -> bool:
+        """Whether no pending job can be placed until the fleet changes.
+
+        True when no GPU is free, no waiting foreground job has a dedicated
+        background job it could preempt (any at all, with a preempting
+        policy), and no waiting background job has a collocation slot to
+        take.  A placement pass then decides
+        nothing: a valid ``width_for`` has no width to return from zero free
+        GPUs, ``_preempt_for`` finds no victim, and ``_place_background``
+        finds neither a GPU nor a slot.
+        """
+        if free:
+            return False
+        waiting_fg = pending.foreground_waiting
+        if waiting_fg and policy.preempt_background and self._bg_dedicated:
+            return False
+        if len(pending) > waiting_fg and policy.collocate_background:
+            return (
+                self._pick_background_host(policy.min_collocation_efficiency)
+                is None
+            )
+        return True
+
     def _schedule_pending(
         self, now: float, pending: PendingQueue, free: FleetPool,
         policy: SchedulingPolicy, queue: EventQueue,
@@ -958,14 +993,21 @@ class ClusterScheduler:
         re-keyed here before each pass.  Foreground jobs try the fleet's
         pools in the policy's preference order (fastest first by default),
         falling back to slower pools when the fast ones are contended.
+
+        A pass starts, and goes on after each placement, only while some
+        pending job could still be placed (:meth:`_fleet_closed`): on a
+        saturated fleet the backlog is not rescanned just to find again that
+        nothing fits.
         """
         while pending:
             if policy.dynamic_priority:
                 pending.resort(now)
+            if self._fleet_closed(pending, free, policy):
+                break
             order = list(pending)
             placed = 0
             waiting_fg = pending.foreground_waiting
-            for state in order:
+            for scanned, state in enumerate(order, 1):
                 if state.is_foreground:
                     placement: Optional[Tuple[str, int]] = None
                     for pool_name in policy.pool_preference(state, self.fleet):
@@ -978,10 +1020,19 @@ class ClusterScheduler:
                             self._preempt_for(
                                 desired, pool_name, now, free, pending
                             )
+                        pool_free = free.free_of(pool_name)
                         width = policy.width_for(
-                            state, free.free_of(pool_name), pool_gpus, waiting_fg
+                            state, pool_free, pool_gpus, waiting_fg
                         )
                         if width is not None:
+                            if not 1 <= width <= pool_free:
+                                raise ValueError(
+                                    f"policy {policy.name!r} gave job "
+                                    f"{state.name!r} width {width!r} on pool "
+                                    f"{pool_name!r} with {pool_free} free GPUs; "
+                                    "width_for must return None or a width "
+                                    "in [1, free GPUs]"
+                                )
                             placement = (pool_name, width)
                             break
                     waiting_fg -= 1  # this job's share is settled either way
@@ -996,13 +1047,16 @@ class ClusterScheduler:
                     self._start_foreground(
                         state, placement[1], placement[0], now, free, queue
                     )
-                    placed += 1
+                elif self._place_background(state, now, free, policy, queue):
+                    pending.remove(state)
+                elif policy.strict_order:
+                    break
                 else:
-                    if self._place_background(state, now, free, policy, queue):
-                        pending.remove(state)
-                        placed += 1
-                    elif policy.strict_order:
-                        break
+                    continue
+                placed += 1
+                if self._fleet_closed(pending, free, policy):
+                    break
+            _PENDING_SCANNED.add(scanned)
             if not placed:
                 break
 
@@ -1044,8 +1098,7 @@ class ClusterScheduler:
                 self._start_background_dedicated(state, pool_name, now, free, queue)
                 return True
         if policy.collocate_background:
-            min_efficiency = getattr(policy, "min_collocation_efficiency", 0.0)
-            host = self._pick_background_host(min_efficiency)
+            host = self._pick_background_host(policy.min_collocation_efficiency)
             if host is not None:
                 self._attach_background(state, host[0], host[1], now, queue)
                 return True

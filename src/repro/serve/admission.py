@@ -26,6 +26,7 @@ checks under arbitrary submit/cancel interleavings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Optional
@@ -69,10 +70,20 @@ class TenantQuota:
     max_pending: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.gpu_seconds <= 0:
-            raise ValueError("gpu_seconds quota must be positive")
-        if self.max_pending is not None and self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
+        # ``not > 0`` also refuses nan; inf is the unlimited default.
+        if not self.gpu_seconds > 0:
+            raise ValueError(
+                f"gpu_seconds quota must be positive, got {self.gpu_seconds!r}"
+            )
+        if self.max_pending is not None:
+            if isinstance(self.max_pending, bool) or not isinstance(
+                self.max_pending, numbers.Integral
+            ):
+                raise ValueError(
+                    f"max_pending must be an integer, got {self.max_pending!r}"
+                )
+            if self.max_pending < 1:
+                raise ValueError("max_pending must be >= 1")
 
 
 class TenantAccount:

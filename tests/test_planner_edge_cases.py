@@ -32,6 +32,15 @@ class TestAmplificationLimitOne:
         with pytest.raises(ValueError):
             PlannerConfig(amplification_limit=0.99)
 
+    def test_config_rejects_nan_naming_the_field(self):
+        with pytest.raises(ValueError, match="amplification_limit"):
+            PlannerConfig(amplification_limit=float("nan"))
+
+    def test_config_accepts_infinity(self):
+        # inf means no limit: the planner relaxes to it when nothing fits.
+        limit = PlannerConfig(amplification_limit=float("inf")).amplification_limit
+        assert limit == float("inf")
+
     @pytest.mark.parametrize("builder", [vgg11, vgg16])
     def test_chain_models_still_plan(self, fabric, builder):
         graph = builder()

@@ -3,7 +3,7 @@
 * :func:`~repro.core.planner.plan.plan_occupancy` replaces a
   :class:`~repro.cluster.coordinator.ClusterCoordinator` per plan install:
   it must agree with the coordinator exactly, errors included.
-* The scheduler remembers a background-slot search that came back empty
+* The scheduler remembers a background-slot search's answer, slot or none,
   until the slot set changes: a naive scan with no memo must reproduce the
   same runs, fingerprint for fingerprint.
 * :meth:`~repro.sched.fleet.FleetPool.release` makes one pool call per pool
@@ -210,7 +210,7 @@ def _memo_run(profile: CollocationProfile) -> Dict[str, object]:
 
     def checked_pick(self, min_efficiency):
         calls["searches"] += 1
-        if self._no_slot == (self._slot_version, min_efficiency):
+        if self._slot_memo[0] == (self._slot_version, min_efficiency):
             calls["memo_hits"] += 1
         found = pick(self, min_efficiency)
         if found != _naive_pick_background_host(self, min_efficiency):
@@ -272,7 +272,7 @@ class TestEmptySlotMemo:
             if snapshot is None:
                 if _naive_pick_background_host(sched, efficiency) is not None:
                     snapshot = engine.snapshot()  # a state with a free slot
-            elif sched._no_slot == (sched._slot_version, efficiency):
+            elif sched._slot_memo == ((sched._slot_version, efficiency), None):
                 break  # a later state whose empty search is memoized
         else:
             pytest.fail("the run never memoized an empty search after the cut")

@@ -279,8 +279,16 @@ class TestAdmission:
     def test_quota_validation(self):
         with pytest.raises(ValueError):
             TenantQuota(gpu_seconds=0.0)
+        with pytest.raises(ValueError, match="gpu_seconds"):
+            TenantQuota(gpu_seconds=float("nan"))
         with pytest.raises(ValueError):
             TenantQuota(max_pending=0)
+        for bad in (2.5, 4.0, True, "8"):
+            with pytest.raises(ValueError, match="max_pending"):
+                TenantQuota(max_pending=bad)
+        # inf is the unlimited default.
+        assert TenantQuota(gpu_seconds=float("inf")) == TenantQuota()
+        assert TenantQuota(max_pending=8).max_pending == 8
         with pytest.raises(ValueError):
             QuotaAdmission(on_saturated=AdmissionDecision.ACCEPT)
 
