@@ -57,6 +57,7 @@ ENVIRONMENT_PARAMS = frozenset(
         "trace_out",
         "journal_dir",
         "snapshot_every",
+        # Retired sched_sim_xxl params still recorded in its committed baseline.
         "shard_workers",
         "shard_epochs",
     }

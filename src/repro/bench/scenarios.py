@@ -19,10 +19,9 @@ Four scenarios ship by default, one per subsystem the ROADMAP cares about:
   fastest-pool-first foreground placement, checkpoint/restart rollback and
   lost-GPU-seconds accounting.  Ops are simulation events processed
   (failures and recoveries included).
-* ``sched_sim_xxl`` — the datacenter-scale sharded replay: a 16384-GPU
-  A100+V100 fleet serving a 100k-job mixed trace through a failure storm,
-  replayed epoch-parallel via :func:`~repro.sched.shard.replay_sharded`
-  (bit-identical to the single-process run at any epoch/worker count).
+* ``sched_sim_xxl`` — the datacenter-scale serial replay: a 16384-GPU
+  A100+V100 fleet serving a 100k-job mixed trace through a failure storm
+  in one ``ClusterScheduler.run``.
 * ``collocation_matrix`` — the Figure 12 pairwise GPU-collocation sweep over
   the synthetic kernel grid.  Ops are GPU-simulator runs.
 
@@ -54,10 +53,15 @@ from ..sched import (
     alibaba_trace,
     inject_failures,
     mixed_trace,
-    replay_sharded,
     synthetic_trace,
 )
-from ..serve import QuotaAdmission, SchedulerService, TenantQuota, replay_trace_sync
+from ..serve import (
+    QuotaAdmission,
+    SchedulerService,
+    TenantQuota,
+    replay_trace_sync,
+    result_fingerprint,
+)
 from .harness import ScenarioResult, scenario
 
 __all__ = [
@@ -403,7 +407,7 @@ def sched_sim_hetero(
 
 @scenario(
     "sched_sim_xxl",
-    "Datacenter-scale sharded replay: 100k-job mixed trace on a 16384-GPU "
+    "Datacenter-scale serial replay: 100k-job mixed trace on a 16384-GPU "
     "heterogeneous fleet",
     pools=("a100:8192", "v100:8192"),
     gpus_per_host=8,
@@ -418,8 +422,6 @@ def sched_sim_hetero(
     mean_downtime=120.0,
     checkpoint_interval_s=120.0,
     restart_overhead_s=15.0,
-    shard_epochs=8,
-    shard_workers=2,
     cache_dir=None,
 )
 def sched_sim_xxl(
@@ -436,27 +438,16 @@ def sched_sim_xxl(
     mean_downtime: float,
     checkpoint_interval_s: float,
     restart_overhead_s: float,
-    shard_epochs: int,
-    shard_workers: int,
     cache_dir: Optional[str],
 ) -> ScenarioResult:
-    """The sharded-simulation headline; ops = events processed.
+    """The datacenter-scale headline; ops = events processed.
 
     A 16k-GPU A100+V100 fleet serves a 100k-job mixed trace through an
-    injected failure storm, replayed epoch-parallel by
-    :func:`~repro.sched.shard.replay_sharded`.  The stitched result is
-    bit-identical to a single-process ``ClusterScheduler.run`` of the same
-    workload — the shard parity tests and the CI ``shard`` job pin that —
-    so the gated metrics cannot depend on how the replay was partitioned
-    or parallelized.  ``shard_epochs`` and ``shard_workers`` accordingly
-    sit in :data:`~repro.bench.compare.ENVIRONMENT_PARAMS`: they move wall
-    time and the ``info`` diagnostics (anchor traffic, worker
-    utilization), never the fingerprint.
-
-    A persistent ``cache_dir`` makes the serial anchor pass a one-time
-    cost per workload: warm runs go straight to the parallel phase, which
-    is where the wall-time win lives (see the README's sharded-simulation
-    section for measured numbers).
+    injected failure storm, replayed serially by ``ClusterScheduler.run``.
+    ``info.result_fingerprint`` digests every completion record, so it pins
+    the whole run, not just the summary metrics.  A persistent
+    ``cache_dir`` only skips planner searches and profiles; it never moves
+    the result.
     """
     if len(failure_window) != 2:
         raise ValueError(
@@ -482,16 +473,7 @@ def sched_sim_xxl(
         planner=planner,
         checkpoint=CheckpointModel(checkpoint_interval_s, restart_overhead_s),
     )
-    report = replay_sharded(
-        sched,
-        jobs,
-        policy,
-        failures=schedule,
-        epochs=shard_epochs,
-        workers=shard_workers,
-        anchor_cache=cache,
-    )
-    result = report.result
+    result = sched.run(jobs, policy, failures=schedule)
     m = result.metrics
     info = _cache_info(cache)
     info.update(
@@ -499,15 +481,7 @@ def sched_sim_xxl(
         num_hosts=fleet.num_hosts,
         speed_order=",".join(fleet.speed_order),
         fleet_fingerprint=fleet_fingerprint(fleet),
-        result_fingerprint=report.result_fingerprint(),
-        shard_epochs=len(report.epochs),
-        shard_workers=report.workers,
-        anchor_hits=report.anchor_hits,
-        anchor_misses=report.anchor_misses,
-        anchor_writes=report.anchor_writes,
-        anchor_pass_s=report.anchor_pass_s,
-        replay_s=report.replay_s,
-        worker_utilization=report.worker_utilization,
+        result_fingerprint=result_fingerprint(result),
     )
     return ScenarioResult(
         ops=result.events_processed,

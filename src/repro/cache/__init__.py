@@ -29,7 +29,6 @@ from .fingerprint import (
     graph_fingerprint,
     planner_config_fingerprint,
     profiler_fingerprint,
-    shard_anchor_fingerprint,
     snapshot_fingerprint,
     trace_fingerprint,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "fleet_fingerprint",
     "trace_fingerprint",
     "snapshot_fingerprint",
-    "shard_anchor_fingerprint",
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA_VERSION",
     "ArtifactCache",

@@ -30,7 +30,7 @@ the ``sched_sim_xl`` wall-time gate is the regression proof.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 __all__ = [
     "Counter",
@@ -201,25 +201,12 @@ class MetricsRegistry:
     def counter_values(self) -> Dict[str, int]:
         """Current values of the registered counters only (no timer keys).
 
-        This is the cross-process accounting surface: counter values are
-        deterministic and additive across processes, so a worker can report
-        the difference of two ``counter_values`` calls and the parent can
-        :meth:`merge_counters` it.  Timers are wall-clock and stay local.
+        Counter values are deterministic, so the difference of two
+        ``counter_values`` calls is a machine-independent work count for
+        whatever ran in between (the perfbench harness takes it across its
+        traced passes).  Timers are wall-clock and are left out.
         """
         return {name: self._counters[name].value for name in sorted(self._counters)}
-
-    def merge_counters(self, deltas: Mapping[str, int]) -> None:
-        """Fold counter deltas from another process's registry into this one.
-
-        Worker processes (a planner pool, a shard-replay pool) accumulate
-        into their own process-wide registry; the driver folds their deltas
-        back so one run's registry delta reflects the work wherever it
-        executed.  Unknown names register on the fly; zero deltas are no-ops.
-        """
-        for name in sorted(deltas):
-            amount = deltas[name]
-            if amount:
-                self.counter(name).add(amount)
 
     def reset(self) -> None:
         """Zero every registered counter and timer in place.

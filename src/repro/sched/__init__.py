@@ -28,10 +28,6 @@ Public API:
 * :mod:`~repro.sched.snapshot` — :class:`EngineSnapshot`: crash-safe
   capture/restore of a live engine at any event boundary
   (``SchedulerEngine.snapshot()`` / ``.restore()``), fingerprint-exact.
-* :mod:`~repro.sched.shard` — :func:`replay_sharded` /
-  :func:`partition_epochs` / :class:`ShardConfig` / :class:`ShardReport`:
-  epoch-parallel replay over cached snapshot anchors, bit-identical to the
-  single-process path at every epoch and worker count.
 """
 
 from .engine import SchedulerEngine
@@ -51,13 +47,6 @@ from .policies import (
     get_policy,
 )
 from .scheduler import ClusterScheduler, ScheduleResult
-from .shard import (
-    EpochReport,
-    ShardConfig,
-    ShardReport,
-    partition_epochs,
-    replay_sharded,
-)
 from .traces import TraceJob, alibaba_trace, mixed_trace, synthetic_trace
 
 __all__ = [
@@ -89,11 +78,6 @@ __all__ = [
     "ScheduleResult",
     "EngineSnapshot",
     "SNAPSHOT_SCHEMA",
-    "ShardConfig",
-    "ShardReport",
-    "EpochReport",
-    "partition_epochs",
-    "replay_sharded",
     "TraceJob",
     "synthetic_trace",
     "alibaba_trace",

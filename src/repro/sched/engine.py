@@ -20,6 +20,7 @@ as ``run()`` historically did — integrity tests inspect them there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -315,8 +316,12 @@ class SchedulerEngine:
         The bound is *exclusive* so that a job submitted at ``time`` slots
         into the queue before same-instant events that were pushed later —
         reproducing the offline path, where all arrivals are queued first.
-        Afterwards the engine clock is at least ``time``.
+        Afterwards the engine clock is at least ``time``.  A non-finite
+        ``time`` is rejected: ``nan`` would drain the queue without moving
+        the clock, and ``inf`` would drain it and leave the clock at ``inf``.
         """
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time!r}")
         steps = 0
         while True:
             peek = self.queue.peek_time()

@@ -13,22 +13,19 @@ completed job and one :class:`FleetMetrics` summary per run:
 Both dataclasses are frozen so two runs can be compared with ``==`` when
 asserting determinism under a fixed trace seed.
 
-Aggregation is columnar: :class:`MetricsFold` accumulates per-field columns
-(one list per float field, running integers for the exact sums) and folds
-them into a :class:`FleetMetrics` at the end.  ``FleetMetrics.compute``
-delegates to it, and the sharded replay driver feeds it per-epoch record
-batches — in global record order, so the float summation order (and hence
-every bit of the result) is identical to a single-process run.
+``FleetMetrics.compute`` sums each float field in record order and keeps
+the exact counts (samples, preemptions, replans, restarts) as integers, so
+the same records always give a bit-identical summary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Sequence
+from typing import List, Sequence
 
 from ..cluster.job import JobKind
 
-__all__ = ["JobRecord", "FleetMetrics", "MetricsFold", "percentile"]
+__all__ = ["JobRecord", "FleetMetrics", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -149,124 +146,10 @@ class FleetMetrics:
         summarizing mid-run) is a valid input: the result is an all-zero
         metrics object with ``num_jobs=0`` — never an exception.
         """
-        fold = MetricsFold()
-        fold.extend(records)
-        return fold.finalize(num_gpus, makespan)
-
-
-class MetricsFold:
-    """Columnar accumulator folding job records into :class:`FleetMetrics`.
-
-    Records (or their serialized row form, see :meth:`add_row`) are appended
-    one batch at a time; :meth:`finalize` reduces the columns with the exact
-    arithmetic ``FleetMetrics.compute`` always used — built-in ``sum`` over
-    each float column in append order, integer running totals for the exact
-    sums — so a fold fed the records of a single run in order produces a
-    bit-identical metrics object.  That invariance is what lets the sharded
-    replay driver stitch per-epoch record batches (appended in epoch order,
-    preserving the global record order) into the same fingerprint as an
-    unsharded run, without ever materializing 100k :class:`JobRecord`
-    objects just to aggregate them.
-    """
-
-    __slots__ = (
-        "_jcts",
-        "_queue_delays",
-        "_busy",
-        "_lost",
-        "_fg_samples",
-        "_bg_samples",
-        "_preemptions",
-        "_replans",
-        "_restarts",
-    )
-
-    def __init__(self) -> None:
-        self._jcts: List[float] = []
-        self._queue_delays: List[float] = []
-        self._busy: List[float] = []
-        self._lost: List[float] = []
-        self._fg_samples = 0
-        self._bg_samples = 0
-        self._preemptions = 0
-        self._replans = 0
-        self._restarts = 0
-
-    def __len__(self) -> int:
-        return len(self._jcts)
-
-    def _append(
-        self,
-        arrival_time: float,
-        start_time: float,
-        finish_time: float,
-        samples: int,
-        foreground: bool,
-        busy_gpu_seconds: float,
-        lost_gpu_seconds: float,
-        preemptions: int,
-        replans: int,
-        restarts: int,
-    ) -> None:
-        self._jcts.append(finish_time - arrival_time)
-        self._queue_delays.append(start_time - arrival_time)
-        self._busy.append(busy_gpu_seconds)
-        self._lost.append(lost_gpu_seconds)
-        if foreground:
-            self._fg_samples += samples
-        else:
-            self._bg_samples += samples
-        self._preemptions += preemptions
-        self._replans += replans
-        self._restarts += restarts
-
-    def add(self, record: JobRecord) -> None:
-        """Fold one completed-job record in."""
-        self._append(
-            record.arrival_time,
-            record.start_time,
-            record.finish_time,
-            record.iterations * record.global_batch,
-            record.kind is JobKind.FOREGROUND,
-            record.busy_gpu_seconds,
-            record.lost_gpu_seconds,
-            record.preemptions,
-            record.replans,
-            record.restarts,
-        )
-
-    def extend(self, records: Sequence[JobRecord]) -> None:
-        """Fold a batch of records in, preserving their order."""
-        for record in records:
-            self.add(record)
-
-    def add_row(self, row: Mapping[str, Any]) -> None:
-        """Fold one serialized record row (``asdict`` form, kind as string).
-
-        This is the row layout :mod:`repro.sched.snapshot` persists and the
-        shard workers ship between processes; folding it directly skips the
-        :class:`JobRecord` construction on the aggregation path.
-        """
-        self._append(
-            row["arrival_time"],
-            row["start_time"],
-            row["finish_time"],
-            row["iterations"] * row["global_batch"],
-            row["kind"] == JobKind.FOREGROUND.value,
-            row["busy_gpu_seconds"],
-            row["lost_gpu_seconds"],
-            row["preemptions"],
-            row["replans"],
-            row["restarts"],
-        )
-
-    def finalize(self, num_gpus: int, makespan: float) -> FleetMetrics:
-        """Reduce the accumulated columns into a :class:`FleetMetrics`."""
         if num_gpus < 1:
             raise ValueError("num_gpus must be positive")
-        jcts = self._jcts
-        if not jcts:
-            return FleetMetrics(
+        if not records:
+            return cls(
                 num_gpus=num_gpus,
                 num_jobs=0,
                 makespan=makespan,
@@ -283,9 +166,28 @@ class MetricsFold:
                 restarts=0,
                 lost_gpu_seconds=0.0,
             )
+        # Float columns are summed with built-in ``sum`` in record order and
+        # the exact counts as integer running totals, so a given record
+        # sequence always yields a bit-identical metrics object.
+        jcts: List[float] = []
+        queue_delays: List[float] = []
+        busy: List[float] = []
+        lost: List[float] = []
+        fg_samples = bg_samples = preemptions = replans = restarts = 0
+        for record in records:
+            jcts.append(record.finish_time - record.arrival_time)
+            queue_delays.append(record.start_time - record.arrival_time)
+            busy.append(record.busy_gpu_seconds)
+            lost.append(record.lost_gpu_seconds)
+            if record.kind is JobKind.FOREGROUND:
+                fg_samples += record.iterations * record.global_batch
+            else:
+                bg_samples += record.iterations * record.global_batch
+            preemptions += record.preemptions
+            replans += record.replans
+            restarts += record.restarts
         span = max(makespan, 1e-12)
-        busy = sum(self._busy)
-        return FleetMetrics(
+        return cls(
             num_gpus=num_gpus,
             num_jobs=len(jcts),
             makespan=makespan,
@@ -293,12 +195,12 @@ class MetricsFold:
             median_jct=percentile(jcts, 50.0),
             p95_jct=percentile(jcts, 95.0),
             max_jct=max(jcts),
-            mean_queue_delay=sum(self._queue_delays) / len(jcts),
-            utilization=min(1.0, busy / (num_gpus * span)),
-            fg_goodput=self._fg_samples / span,
-            bg_goodput=self._bg_samples / span,
-            preemptions=self._preemptions,
-            replans=self._replans,
-            restarts=self._restarts,
-            lost_gpu_seconds=sum(self._lost),
+            mean_queue_delay=sum(queue_delays) / len(jcts),
+            utilization=min(1.0, sum(busy) / (num_gpus * span)),
+            fg_goodput=fg_samples / span,
+            bg_goodput=bg_samples / span,
+            preemptions=preemptions,
+            replans=replans,
+            restarts=restarts,
+            lost_gpu_seconds=sum(lost),
         )

@@ -28,6 +28,7 @@ stream can never disagree about what happened.
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -612,7 +613,7 @@ class SchedulerService:
         intent = record.intent
         self._replaying = True
         try:
-            self._advance_sync(intent["clock"])
+            self._engine.advance_to(intent["clock"])
             op = intent["op"]
             if op == "submit":
                 self._submit(
@@ -870,26 +871,16 @@ class SchedulerService:
                     break
 
     # -------------------------------------------------------------------- time
-    def _advance_sync(self, time: float) -> int:
-        """Synchronous ``advance_to`` (recovery replay runs outside asyncio)."""
-        engine = self._engine
-        steps = 0
-        while True:
-            peek = engine.queue.peek_time()
-            if peek is None or peek >= time:
-                break
-            engine.step()
-            steps += 1
-        engine.clock = max(engine.clock, time)
-        return steps
-
     async def advance_to(self, time: float, yield_every: int = 256) -> int:
         """Process every event strictly before ``time``; returns the count.
 
         Yields to the event loop every ``yield_every`` engine steps so
         ``watch()`` consumers and ``wait()``-ers interleave with a long
-        advance.
+        advance.  A non-finite ``time`` raises :class:`ValueError`, as
+        :meth:`SchedulerEngine.advance_to` does.
         """
+        if not math.isfinite(time):
+            raise ValueError(f"time must be finite, got {time!r}")
         engine = self._engine
         steps = 0
         while True:

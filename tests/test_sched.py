@@ -6,6 +6,7 @@ from repro.cluster.job import JobKind
 from repro.sched import (
     POLICIES,
     ClusterScheduler,
+    SchedulerEngine,
     CollocationAwarePolicy,
     EventKind,
     EventQueue,
@@ -237,6 +238,8 @@ class TestMetrics:
         assert metrics.bg_goodput == 0.0
         assert metrics.preemptions == 0
         assert metrics.lost_gpu_seconds == 0.0
+        with pytest.raises(ValueError, match="num_gpus"):
+            FleetMetrics.compute([], num_gpus=0, makespan=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +378,21 @@ class TestClusterScheduler:
         trace = [TraceJob("a", "vgg16", 32, 0.0, 10)]
         with pytest.raises(KeyError):
             scheduler.run(trace, "no-such-policy")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_advance_to_rejects_non_finite_time(self, bad):
+        # Unchecked, nan would drain every event without moving the clock,
+        # and inf would drain them and leave the clock at inf.
+        engine = SchedulerEngine(ClusterScheduler(num_gpus=8), "collocation")
+        for job in synthetic_trace(6, seed=3, models=("vgg16",)):
+            engine.add_job(job)
+        assert engine.advance_to(1.0) > 0
+        queued, clock = len(engine.queue), engine.clock
+        with pytest.raises(ValueError, match="time"):
+            engine.advance_to(bad)
+        assert len(engine.queue) == queued and engine.clock == clock
+        engine.drain()
+        assert engine.result().metrics.num_jobs == 6
 
     def test_result_record_lookup(self, scheduler, small_trace):
         result = scheduler.run(small_trace, "fifo")

@@ -180,6 +180,20 @@ class TestSubmitAPI:
         assert retry.status() == "done"
         assert retry.name == "fg-a#1"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_advance_to_rejects_non_finite_time(self, bad):
+        async def run():
+            service = _service()
+            await service.submit(_job("fg-a", iterations=800))
+            clock = service.clock
+            with pytest.raises(ValueError, match="time"):
+                await service.advance_to(bad)
+            assert service.clock == clock
+            assert service.query("fg-a").status != "done"
+            await service.drain()
+
+        asyncio.run(run())
+
     def test_resubmitted_identity(self):
         job = _job("fg-a", arrival=1.0)
         retry = job.resubmitted(7.0)
