@@ -41,8 +41,9 @@ __all__ = [
 #: Bump when the artifact layout changes incompatibly; ``compare`` refuses to
 #: diff artifacts with mismatched schema versions.
 #: v2: added the non-gated ``info`` diagnostics block and environment
-#: parameters (``cache_dir``, ``planner_processes``) that ``compare``
-#: excludes from param matching.
+#: parameters (``cache_dir`` and the others in
+#: ``compare.ENVIRONMENT_PARAMS``) that ``compare`` excludes from param
+#: matching.
 SCHEMA_VERSION = 2
 
 _ARTIFACT_PREFIX = "BENCH_"

@@ -38,7 +38,7 @@ class ScenarioResult:
     ``metrics`` are additional deterministic outputs; they are rounded to 9
     significant digits and the regression gate treats them as a result
     fingerprint.  ``info`` carries non-deterministic diagnostics (cache
-    hit/miss counts, worker counts...): it is recorded in the artifact but
+    hit/miss counts, prewarmed plans...): it is recorded in the artifact but
     excluded from the determinism check and the regression gate.
     """
 

@@ -14,9 +14,10 @@ Public API:
 * :func:`~repro.core.planner.linear_search.solve_chain` — Algorithm 1.
 * :func:`~repro.core.planner.graph_reduction.build_chain_nodes` — the
   multi-chain graph reduction (Figure 7).
-* :class:`~repro.core.planner.pool.PlannerPool` /
-  :class:`~repro.core.planner.pool.PlanRequest` — multiprocess batch
-  planning over a shared persistent cache.
+
+A search is cheap enough to run online, one job at a time (the paper's
+Section 7.4); the cluster scheduler plans inline and caches every plan it
+installs.
 """
 
 from .costs import PlannerCostModel, candidate_gpu_counts
@@ -24,13 +25,10 @@ from .graph_reduction import BlockNode, LayerNode, build_chain_nodes
 from .linear_search import ChainSolution, NodeDecision, solve_chain
 from .plan import LayerAssignment, PlanOccupancy, TrainingPlan, plan_occupancy
 from .planner import BurstParallelPlanner, PlannerConfig
-from .pool import PlannerPool, PlanRequest
 
 __all__ = [
     "BurstParallelPlanner",
     "PlannerConfig",
-    "PlannerPool",
-    "PlanRequest",
     "TrainingPlan",
     "LayerAssignment",
     "PlanOccupancy",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.planner.plan import TrainingPlan
 from ..models.graph import ModelGraph
@@ -302,35 +302,46 @@ class SchedulerEngine:
         if self.policy.replan_running and not self.pending and self.free:
             sched._expand_running(now, self.free, self.policy, self.queue)
 
+    def events(self, until: Optional[float] = None) -> Iterator[Event]:
+        """Dispatch events one :meth:`step` at a time, yielding each.
+
+        With ``until=None`` the queue is drained to quiescence.  Otherwise
+        every event strictly before ``until`` is dispatched: the bound is
+        *exclusive* so that a job submitted at ``until`` slots into the
+        queue before same-instant events that were pushed later —
+        reproducing the offline path, where all arrivals are queued first —
+        and once the generator is exhausted the engine clock is at least
+        ``until``.  A non-finite ``until`` is rejected: ``nan`` would drain
+        the queue without moving the clock, and ``inf`` would drain it and
+        leave the clock at ``inf``.
+
+        :meth:`drain`, :meth:`advance_to` and the online service's
+        cooperative callers all step through this one loop.
+        """
+        if until is None:
+            while self.queue:
+                yield self.step()
+            return
+        if not math.isfinite(until):
+            raise ValueError(f"time must be finite, got {until!r}")
+        while True:
+            peek = self.queue.peek_time()
+            if peek is None or peek >= until:
+                break
+            yield self.step()
+        self.clock = max(self.clock, until)
+
     def drain(self) -> int:
         """Dispatch events until the queue is empty; returns steps taken."""
-        steps = 0
-        while self.queue:
-            self.step()
-            steps += 1
-        return steps
+        return sum(1 for _ in self.events())
 
     def advance_to(self, time: float) -> int:
         """Dispatch every event strictly before ``time``; returns steps taken.
 
-        The bound is *exclusive* so that a job submitted at ``time`` slots
-        into the queue before same-instant events that were pushed later —
-        reproducing the offline path, where all arrivals are queued first.
-        Afterwards the engine clock is at least ``time``.  A non-finite
-        ``time`` is rejected: ``nan`` would drain the queue without moving
-        the clock, and ``inf`` would drain it and leave the clock at ``inf``.
+        See :meth:`events` for the exclusive bound, the clock bump and the
+        rejection of a non-finite ``time``.
         """
-        if not math.isfinite(time):
-            raise ValueError(f"time must be finite, got {time!r}")
-        steps = 0
-        while True:
-            peek = self.queue.peek_time()
-            if peek is None or peek >= time:
-                break
-            self.step()
-            steps += 1
-        self.clock = max(self.clock, time)
-        return steps
+        return sum(1 for _ in self.events(time))
 
     # ------------------------------------------------------------ cancellation
     def cancel(self, name: str, now: float) -> bool:

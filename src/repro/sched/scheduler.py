@@ -42,10 +42,10 @@ The event loop supports the dynamics a real cluster manager needs:
 Plans are cached by ``(model, batch, width, amplification limit)`` plus the
 owning pool planner's content fingerprint (so schedulers with different
 planner or profiler configurations — or two pools of different GPU
-generations — can never alias plans), and the cache can be pre-warmed before
-replay via :meth:`ClusterScheduler.prewarm_plans` — batch planning every
-(model, width) a trace can request, optionally across worker processes
-through a :class:`~repro.core.planner.pool.PlannerPool`.
+generations — can never alias plans).  Every cache miss is planned in one
+place, :meth:`ClusterScheduler._plan_for`; :meth:`ClusterScheduler.prewarm_plans`
+runs it ahead of replay for every (model, pool, width) a trace can request,
+so replay itself never waits on a planner search.
 
 The placement pass is *incremental*: the pending queue, the running
 foreground jobs, the dedicated background jobs and each host's guests are
@@ -66,7 +66,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..cluster.executor import CollocationProfile
 from ..core.planner.plan import PlanOccupancy, TrainingPlan, plan_occupancy
 from ..core.planner.planner import BurstParallelPlanner
-from ..core.planner.pool import PlannerPool, PlanRequest
 from ..models.graph import ModelGraph
 from ..models.registry import build_model
 from ..network.fabric import NetworkFabric, get_fabric
@@ -311,160 +310,56 @@ class ClusterScheduler:
         return entry[1]
 
     def _plan_cache_key(
-        self,
-        model: str,
-        batch: int,
-        width: int,
-        amp_limit: float,
-        gpu_pool: Optional[str] = None,
+        self, model: str, batch: int, width: int, amp_limit: float, gpu_pool: str
     ) -> _PlanKey:
-        planner = self.planner if gpu_pool is None else self._planner_for(gpu_pool)
+        planner = self._planner_for(gpu_pool)
         return (model, batch, width, amp_limit, self._fingerprint_of(planner))
 
     def _plan_for(
-        self, state: _JobState, width: int, gpu_pool: str
+        self, job: TraceJob, width: int, gpu_pool: str
     ) -> Tuple[_PlanKey, TrainingPlan]:
-        """The plan-cache key and plan of one job at one (pool, width)."""
+        """The plan-cache key and plan of one job at one (pool, width).
+
+        The one place a plan-cache miss turns into a planner search, for
+        placements, re-plans, migrations and :meth:`prewarm_plans` alike.
+        """
         key = self._plan_cache_key(
-            state.trace.model,
-            state.global_batch,
-            width,
-            state.trace.amplification_limit,
-            gpu_pool,
+            job.model, job.global_batch, width, job.amplification_limit, gpu_pool
         )
         plan = self._plan_cache.get(key)
         if plan is None:
             plan = self._plan_cache[key] = self._planner_for(gpu_pool).plan(
-                state.graph,
-                state.global_batch,
+                self._graph(job.model),
+                job.global_batch,
                 width,
-                amplification_limit=state.trace.amplification_limit,
+                amplification_limit=job.amplification_limit,
             )
         return key, plan
 
-    def prewarm_plans(
-        self,
-        trace: Sequence[TraceJob],
-        pool: Optional[PlannerPool] = None,
-    ) -> int:
-        """Plan every (model, width, GPU pool) the trace can request.
+    def prewarm_plans(self, trace: Sequence[TraceJob]) -> int:
+        """Plan every (GPU pool, width) the trace's jobs can request.
 
         Every foreground job is expanded to the power-of-two widths its
         policy could ever place it at on each fleet pool (1 up to
-        ``floor_pow2`` of the pool/batch/``max_gpus`` cap), the deduplicated
-        requests are planned — through ``pool`` (possibly multiprocess,
-        possibly backed by a shared persistent cache) when given, inline on
-        the per-pool planners otherwise — and the results seed
-        :attr:`_plan_cache` so trace replay never stalls on a planner
-        search.  Returns the number of plans seeded.
-
-        A :class:`~repro.core.planner.pool.PlannerPool` plans for exactly
-        one GPU identity, so pool-backed prewarming requires a homogeneous
-        fleet and a pool whose fabric/profiler/planner fingerprint matches
-        this scheduler's planner; a mismatch raises ``ValueError``.  Pool
-        results are deterministic and independent of the worker count, so
-        replay metrics are identical whether the cache was warmed inline,
-        by one worker, or by many.
+        ``floor_pow2`` of the pool/batch/``max_gpus`` cap), and each miss is
+        planned into :attr:`_plan_cache`, so trace replay never stalls on a
+        planner search.  Background jobs need no plan: their dedicated and
+        collocated rates derive from the profiler.  Returns the number of
+        plans seeded (0 when everything was already cached).
         """
-        if pool is not None:
-            if not self.fleet.is_homogeneous:
-                raise ValueError(
-                    "PlannerPool-backed prewarming plans for a single GPU "
-                    "identity; a heterogeneous fleet must prewarm inline "
-                    "(pool=None)"
+        before = len(self._plan_cache)
+        for job in trace:
+            if not job.is_foreground:
+                continue
+            for pool_name in self.fleet.pool_names:
+                top = floor_pow2(
+                    max(width_cap(job, self.fleet.pool(pool_name).num_gpus), 1)
                 )
-            # Validate against the fleet pool's planner — the identity the
-            # seeded cache keys carry — not ``self.planner``, which models a
-            # different GPU whenever the single pool's spec diverges from
-            # the scheduler's profiler.
-            target = self._planner_for(self.fleet.pool_names[0])
-            pool_fp = pool.planner().fingerprint()
-            if pool_fp != self._fingerprint_of(target):
-                raise ValueError(
-                    "PlannerPool configuration does not match this "
-                    "scheduler's planner for the fleet's GPU pool "
-                    "(fabric/profiler/config fingerprints differ); prewarmed "
-                    "plans would alias under the wrong planner identity"
-                )
-        seeded = 0
-        for pool_name in self.fleet.pool_names:
-            pool_gpus = self.fleet.pool(pool_name).num_gpus
-            requests: List[PlanRequest] = []
-            seen = set()
-            for job in trace:
-                if not job.is_foreground:
-                    continue
-                cap = width_cap(job, pool_gpus)
                 width = 1
-                top = floor_pow2(max(cap, 1))
                 while width <= top:
-                    request = PlanRequest(
-                        job.model, job.global_batch, width, job.amplification_limit
-                    )
-                    if request not in seen:
-                        seen.add(request)
-                        requests.append(request)
+                    self._plan_for(job, width, pool_name)
                     width *= 2
-            if pool is not None:
-                plans = pool.plan_batch(requests)
-            else:
-                planner = self._planner_for(pool_name)
-                plans = [
-                    planner.plan(
-                        self._graph(r.model),
-                        r.global_batch,
-                        r.total_gpus,
-                        amplification_limit=r.amplification_limit,
-                    )
-                    for r in requests
-                ]
-            for request, plan in zip(requests, plans):
-                key = self._plan_cache_key(
-                    request.model,
-                    request.global_batch,
-                    request.total_gpus,
-                    request.amplification_limit,
-                    pool_name,
-                )
-                if key not in self._plan_cache:
-                    self._plan_cache[key] = plan
-                    seeded += 1
-        return seeded
-
-    def prewarm_job(self, job: TraceJob) -> int:
-        """Plan every (pool, width) one foreground job could be placed at.
-
-        The online service calls this at admission time
-        (``prewarm_on_admit``) so the job's first placement never stalls on
-        a planner search.  Returns the number of plans seeded — 0 for
-        background jobs, whose dedicated and collocated rates derive from
-        the profiler rather than a plan.
-        """
-        if not job.is_foreground:
-            return 0
-        seeded = 0
-        for pool_name in self.fleet.pool_names:
-            pool_gpus = self.fleet.pool(pool_name).num_gpus
-            width = 1
-            top = floor_pow2(max(width_cap(job, pool_gpus), 1))
-            while width <= top:
-                key = self._plan_cache_key(
-                    job.model,
-                    job.global_batch,
-                    width,
-                    job.amplification_limit,
-                    pool_name,
-                )
-                if key not in self._plan_cache:
-                    self._plan_cache[key] = self._planner_for(pool_name).plan(
-                        self._graph(job.model),
-                        job.global_batch,
-                        width,
-                        amplification_limit=job.amplification_limit,
-                    )
-                    seeded += 1
-                width *= 2
-        return seeded
+        return len(self._plan_cache) - before
 
     # --------------------------------------------------------------- event loop
     def run(
@@ -643,7 +538,7 @@ class ClusterScheduler:
         self, state: _JobState, width: int, gpu_pool: str, now: float,
         free: FleetPool, queue: EventQueue,
     ) -> None:
-        self._install_plan(state, *self._plan_for(state, width, gpu_pool))
+        self._install_plan(state, *self._plan_for(state.trace, width, gpu_pool))
         state.gpu_ids = free.take(gpu_pool, width)
         state.gpu_type = gpu_pool
         state.hosted = {}
@@ -1132,7 +1027,7 @@ class ClusterScheduler:
                         floor_pow2(state.width + free.free_of(own)), floor_pow2(cap)
                     )
                     if new_width > state.width:
-                        key, plan = self._plan_for(state, new_width, own)
+                        key, plan = self._plan_for(state.trace, new_width, own)
                         if plan.iteration_time < state.base_iter_time:
                             self._replan(state, key, plan, new_width, now, free, queue)
                             expanded = True
@@ -1157,7 +1052,7 @@ class ClusterScheduler:
             width = min(floor_pow2(free.free_of(pool_name)), floor_pow2(cap))
             if width < 1:
                 continue
-            key, plan = self._plan_for(state, width, pool_name)
+            key, plan = self._plan_for(state.trace, width, pool_name)
             if plan.iteration_time >= state.base_iter_time:
                 continue
             self._advance(state, now)

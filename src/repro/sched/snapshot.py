@@ -256,6 +256,23 @@ class EngineSnapshot:
                 "snapshot fleet does not match this scheduler's fleet "
                 "(GPU pools, sizes or host shapes differ)"
             )
+        # The run clocks feed makespan and utilization: a NaN or infinite
+        # value would restore and drain to a nonsense result, and a negative
+        # one would precede every arrival.
+        for field in ("clock", "first_arrival", "last_finish"):
+            value = payload[field]
+            if value is None and field != "clock":
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value < 0
+            ):
+                raise ValueError(
+                    f"snapshot {field} must be a finite number >= 0, "
+                    f"got {value!r}"
+                )
         statuses = _status_constants()
         from .engine import _JobState
 

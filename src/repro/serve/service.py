@@ -28,7 +28,6 @@ stream can never disagree about what happened.
 from __future__ import annotations
 
 import asyncio
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -84,7 +83,6 @@ __all__ = ["SchedulerService", "JobHandle", "JobInfo", "default_tenant"]
 _SUBMIT_TIMER = global_registry().timer("serve.submit")
 _SUBMISSIONS = global_registry().counter("serve.submissions")
 _WATCH_EVENTS = global_registry().counter("serve.watch.events")
-_PREWARMED_PLANS = global_registry().counter("serve.prewarmed_plans")
 
 #: Sentinel closing every watch() stream.
 _WATCH_CLOSED = object()
@@ -280,10 +278,6 @@ class SchedulerService:
         event stream (engine + service events) for export.
     tenant_of:
         Maps a job to its tenant id; defaults to :func:`default_tenant`.
-    prewarm_on_admit:
-        Plan every (pool, width) a job could use at admission time
-        (:meth:`~repro.sched.scheduler.ClusterScheduler.prewarm_job`), so
-        its placements never stall on a planner search mid-run.
     journal_dir:
         Directory for the write-ahead intent journal
         (:class:`~repro.serve.journal.IntentJournal`).  Every submit,
@@ -311,7 +305,6 @@ class SchedulerService:
         failures: Sequence[NodeFailure] = (),
         recorder: Optional[TraceRecorder] = None,
         tenant_of: Optional[Callable[[TraceJob], str]] = None,
-        prewarm_on_admit: bool = False,
         journal_dir: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
         snapshot_keep: int = 2,
@@ -319,7 +312,6 @@ class SchedulerService:
     ) -> None:
         self.scheduler = scheduler
         self.admission = admission if admission is not None else AcceptAll()
-        self.prewarm_on_admit = prewarm_on_admit
         self._tenant_of = tenant_of if tenant_of is not None else default_tenant
         self._jobs: Dict[str, JobHandle] = {}
         self._accounts: Dict[str, TenantAccount] = {}
@@ -474,8 +466,6 @@ class SchedulerService:
         account.engine_pending += 1
         account.admitted_c.add(1)
         handle._service_status = None  # engine owns the status now
-        if self.prewarm_on_admit:
-            _PREWARMED_PLANS.add(self.scheduler.prewarm_job(job))
         self._engine.add_job(job)
         self._emitter.emit(
             arrival, EV_SUBMIT, job=job.name, detail=f"accept:{handle.tenant}"
@@ -874,24 +864,13 @@ class SchedulerService:
     async def advance_to(self, time: float, yield_every: int = 256) -> int:
         """Process every event strictly before ``time``; returns the count.
 
-        Yields to the event loop every ``yield_every`` engine steps so
-        ``watch()`` consumers and ``wait()``-ers interleave with a long
-        advance.  A non-finite ``time`` raises :class:`ValueError`, as
-        :meth:`SchedulerEngine.advance_to` does.
+        Steps through :meth:`SchedulerEngine.events` — the engine's own
+        loop, with its exclusive bound, clock bump and non-finite ``time``
+        check (:class:`ValueError`) — yielding to the event loop every
+        ``yield_every`` engine steps so ``watch()`` consumers and
+        ``wait()``-ers interleave with a long advance.
         """
-        if not math.isfinite(time):
-            raise ValueError(f"time must be finite, got {time!r}")
-        engine = self._engine
-        steps = 0
-        while True:
-            peek = engine.queue.peek_time()
-            if peek is None or peek >= time:
-                break
-            engine.step()
-            steps += 1
-            if yield_every and steps % yield_every == 0:
-                await asyncio.sleep(0)
-        engine.clock = max(engine.clock, time)
+        steps = await self._step_through(time, yield_every)
         if steps:
             await asyncio.sleep(0)
         return steps
@@ -907,11 +886,7 @@ class SchedulerService:
         engine = self._engine
         steps = 0
         while True:
-            while engine.queue:
-                engine.step()
-                steps += 1
-                if yield_every and steps % yield_every == 0:
-                    await asyncio.sleep(0)
+            steps = await self._step_through(None, yield_every, steps)
             # Completions pump the queues as they happen; one more pump at
             # quiescence catches holds released by trailing cancellations.
             self._pump(engine.clock)
@@ -919,6 +894,20 @@ class SchedulerService:
                 break
         self._starve_queued(engine.clock)
         await asyncio.sleep(0)
+        return steps
+
+    async def _step_through(
+        self, until: Optional[float], yield_every: int, steps: int = 0
+    ) -> int:
+        """Drive :meth:`SchedulerEngine.events`, yielding every ``yield_every``.
+
+        ``steps`` carries a running count across calls, so the yield cadence
+        counts every step of one ``drain``; returns the updated count.
+        """
+        for _ in self._engine.events(until):
+            steps += 1
+            if yield_every and steps % yield_every == 0:
+                await asyncio.sleep(0)
         return steps
 
     def _starve_queued(self, now: float) -> None:

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +17,13 @@ from repro.bench import (
     run_scenario,
 )
 from repro.bench.__main__ import main as bench_main
+from repro.bench.compare import _workload_params
 from repro.bench.harness import available_scenarios, get_scenario
 from repro.bench.sweep import SweepJob
 from repro.models import vgg16
 from repro.profiler import LayerProfiler
+
+BASELINES = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
 
 #: Small parameterizations so the suite stays fast.
 SMALL_GRID = {"models": ["vgg11"], "gpu_counts": [1, 2, 4]}
@@ -75,6 +79,19 @@ class TestRegistry:
         assert artifact.params["models"] == ["vgg11"]
         assert artifact.params["gpu_counts"] == [2]
         assert artifact.ops > 0
+
+
+    def test_committed_baselines_match_scenario_defaults(self):
+        """A dropped, renamed or re-defaulted workload param fails here, not
+        only in the full bench run against the committed baselines."""
+        baselines = load_artifacts(BASELINES)
+        assert len(baselines) == 7
+        for name, baseline in baselines.items():
+            # Round-trip through JSON so tuple defaults compare as lists.
+            defaults = json.loads(json.dumps(get_scenario(name).default_params))
+            assert _workload_params(baseline.params) == _workload_params(
+                defaults
+            ), name
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.cache import fleet_fingerprint
 from repro.cluster.job import JobKind
+from repro.obs.metrics import global_registry
 from repro.profiler.gpu_spec import A100_40GB, H100_80GB, V100_32GB, get_gpu_spec
 from repro.sched import (
     CheckpointModel,
@@ -26,6 +27,7 @@ from repro.sched import (
     TraceJob,
     get_policy,
     inject_failures,
+    mixed_trace,
     synthetic_trace,
     validate_failures,
 )
@@ -280,30 +282,37 @@ class TestHeterogeneousScheduling:
         )
         assert sched.run(trace, "collocation").metrics == cold.metrics
 
-    def test_pool_prewarm_rejected_on_hetero_fleet(self, het_sched):
-        from repro.core.planner import PlannerPool
-
-        with pytest.raises(ValueError, match="heterogeneous"):
-            het_sched.prewarm_plans(
-                synthetic_trace(4, seed=1), pool=PlannerPool()
-            )
-
     def test_pool_prewarm_validates_against_fleet_pool_planner(self):
         # A homogeneous fleet whose GPU differs from the scheduler's default
-        # profiler: the PlannerPool must match the *fleet pool's* planner
-        # identity (here V100), not the scheduler's default A100 planner —
-        # otherwise prewarmed A100 plans would be served to V100 jobs.
-        from repro.core.planner import PlannerPool
-
+        # profiler: prewarming must key every plan under the *fleet pool's*
+        # planner identity (here V100), not the scheduler's default A100
+        # planner -- otherwise A100 plans would be served to V100 jobs.
         fleet = ClusterFleet((GpuPoolSpec("v100", V100_32GB, 4, gpus_per_host=2),))
         trace = synthetic_trace(4, seed=1, models=("vgg16",))
         sched = ClusterScheduler(fleet)
-        with pytest.raises(ValueError, match="alias"):
-            sched.prewarm_plans(trace, pool=PlannerPool())  # A100 identity
-        seeded = sched.prewarm_plans(trace, pool=PlannerPool(gpu=V100_32GB))
+        seeded = sched.prewarm_plans(trace)
         assert seeded > 0
         v100_fp = sched._fingerprint_of(sched._planner_for("v100"))
+        assert v100_fp != sched._fingerprint_of(sched.planner)
         assert {key[4] for key in sched._plan_cache} == {v100_fp}
+
+    def test_prewarmed_replay_with_failures_never_plans(self):
+        """Re-plans, migrations and failure restarts all stay inside the
+        prewarmed (pool, width) set: replay makes no planner request."""
+        fleet = mixed_fleet(a100=32, v100=32, gpus_per_host=8)
+        trace = mixed_trace(300, seed=3)
+        failures = inject_failures(
+            fleet, 4, seed=3, window=(10.0, 400.0), mean_downtime=30.0
+        )
+        sched = ClusterScheduler(fleet, checkpoint=CheckpointModel(60.0, 10.0))
+        assert sched.prewarm_plans(trace) > 0
+        requests = global_registry().counter("planner.plan_requests")
+        before = requests.value
+        result = sched.run(trace, "collocation", failures=failures)
+        assert requests.value == before
+        assert result.metrics.num_jobs == len(trace)
+        assert result.failures_injected == 4
+        assert result.metrics.replans > 0 and result.metrics.restarts > 0
 
 
 # ---------------------------------------------------------------------------

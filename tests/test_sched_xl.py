@@ -7,9 +7,10 @@ import pytest
 
 from repro.bench import run_scenario
 from repro.cluster.job import JobKind
-from repro.core.planner import PlannerConfig, PlannerPool
+from repro.core.planner import PlannerConfig
 from repro.core.planner.planner import BurstParallelPlanner
 from repro.network.fabric import get_fabric
+from repro.obs.metrics import global_registry
 from repro.profiler.gpu_spec import V100_32GB
 from repro.profiler.layer_profiler import LayerProfiler
 from repro.sched import (
@@ -131,30 +132,14 @@ class TestPrewarm:
         seeded = warmed.prewarm_plans(trace)
         assert seeded > 0
         assert len(warmed._plan_cache) == seeded
+        requests = global_registry().counter("planner.plan_requests")
+        before = requests.value
         result = warmed.run(trace, "collocation")
         assert result.metrics == cold.metrics
         assert result.events_processed == cold.events_processed
         # Replay never planned anything beyond the prewarmed set.
         assert len(warmed._plan_cache) == seeded
-
-    @pytest.mark.parametrize("processes", [1, 4])
-    def test_pool_prewarm_matches_inline(self, processes, tmp_path):
-        trace = synthetic_trace(30, seed=9)
-        cold = ClusterScheduler(16).run(trace, "collocation")
-        sched = ClusterScheduler(16)
-        pool = PlannerPool(processes=processes, cache_dir=str(tmp_path))
-        sched.prewarm_plans(trace, pool=pool)
-        result = sched.run(trace, "collocation")
-        assert result.metrics == cold.metrics
-
-    def test_mismatched_pool_rejected(self):
-        """A pool planning for a different fabric must not seed this
-        scheduler's plan cache under its fingerprint."""
-        sched = ClusterScheduler(8)  # nvswitch default
-        with pytest.raises(ValueError, match="does not match"):
-            sched.prewarm_plans(
-                synthetic_trace(6, seed=1), pool=PlannerPool(fabric="10gbps")
-            )
+        assert requests.value == before
 
     def test_prewarm_is_idempotent(self):
         trace = synthetic_trace(20, seed=3)
@@ -195,13 +180,13 @@ class TestPlanCacheIdentity:
 
     def test_key_changes_with_planner_config(self):
         sched = ClusterScheduler(8)
-        key_default = sched._plan_cache_key("vgg16", 32, 4, 2.0)
+        key_default = sched._plan_cache_key("vgg16", 32, 4, 2.0, "default")
         sched.planner = BurstParallelPlanner(
             get_fabric("nvswitch"),
             sched.profiler,
             PlannerConfig(powers_of_two_only=False),
         )
-        key_full_grid = sched._plan_cache_key("vgg16", 32, 4, 2.0)
+        key_full_grid = sched._plan_cache_key("vgg16", 32, 4, 2.0, "default")
         assert key_default != key_full_grid
         assert key_default[:4] == key_full_grid[:4]  # only the identity moved
 
@@ -227,8 +212,8 @@ class TestPlanCacheIdentity:
             profiler=profiler,
             planner=BurstParallelPlanner(get_fabric("nvswitch"), profiler),
         )
-        key_a = sched_a100._plan_cache_key("vgg16", 32, 4, 2.0)
-        key_v = sched_v100._plan_cache_key("vgg16", 32, 4, 2.0)
+        key_a = sched_a100._plan_cache_key("vgg16", 32, 4, 2.0, "default")
+        key_v = sched_v100._plan_cache_key("vgg16", 32, 4, 2.0, "default")
         assert key_a != key_v
 
 
@@ -236,7 +221,7 @@ XL_SMALL = {"num_gpus": 64, "num_jobs": 160, "seed": 13}
 
 
 class TestSchedSimXlDeterminism:
-    """Satellite: identical fingerprints cold / warm / parallel-prewarmed."""
+    """Identical fingerprints cold / warm / prewarmed / not prewarmed."""
 
     def test_cold_warm_and_pool_sizes_fingerprint_identically(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -247,10 +232,6 @@ class TestSchedSimXlDeterminism:
             ),
             "warm": run_scenario(
                 "sched_sim_xl", overrides=dict(XL_SMALL, cache_dir=cache_dir)
-            ),
-            "pool4": run_scenario(
-                "sched_sim_xl",
-                overrides=dict(XL_SMALL, cache_dir=cache_dir, planner_processes=4),
             ),
             "no_prewarm": run_scenario(
                 "sched_sim_xl", overrides=dict(XL_SMALL, prewarm=False)

@@ -116,22 +116,6 @@ class TestReplayParity:
         with pytest.raises(ValueError):
             replay_trace_sync(_service(), [])
 
-    def test_prewarm_on_admit_preserves_the_fingerprint(self):
-        """Cache prewarming is a latency lever, never a result lever."""
-        trace = synthetic_trace(24, seed=4)
-        plain = replay_trace_sync(
-            SchedulerService(ClusterScheduler(8), policy="collocation"), trace
-        )
-        scheduler = ClusterScheduler(8)
-        warm = replay_trace_sync(
-            SchedulerService(
-                scheduler, policy="collocation", prewarm_on_admit=True
-            ),
-            trace,
-        )
-        assert warm.fingerprint() == plain.fingerprint()
-        assert len(scheduler._plan_cache) > 0
-
     def test_smoke_cli_asserts_parity_and_writes_artifacts(self, tmp_path):
         rc = serve_main(
             [
@@ -193,6 +177,27 @@ class TestSubmitAPI:
             await service.drain()
 
         asyncio.run(run())
+
+    def test_yield_cadence_never_changes_the_run(self):
+        """``yield_every`` only spaces out the awaits: every cadence steps
+        the engine's one loop through the same events to the same result."""
+        trace = mixed_trace(40, seed=5)
+        offline = ClusterScheduler(16).run(trace, "collocation")
+
+        async def run(yield_every):
+            service = SchedulerService(ClusterScheduler(16), policy="collocation")
+            steps = 0
+            for job in trace:
+                steps += await service.advance_to(
+                    job.arrival_time, yield_every=yield_every
+                )
+                await service.submit(job)
+            steps += await service.drain(yield_every=yield_every)
+            return steps, result_fingerprint(service.result())
+
+        runs = {k: asyncio.run(run(k)) for k in (0, 1, 256)}
+        assert runs[0] == runs[1] == runs[256]
+        assert runs[0] == (offline.events_processed, result_fingerprint(offline))
 
     def test_resubmitted_identity(self):
         job = _job("fg-a", arrival=1.0)

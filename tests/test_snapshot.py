@@ -344,6 +344,30 @@ class TestSnapshotGuards:
         with pytest.raises(ValueError, match=r"schema 99.*applies schema 1"):
             engine.restore(snapshot)
 
+    @pytest.mark.parametrize("field", ["clock", "first_arrival", "last_finish"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0, "7"])
+    def test_apply_rejects_invalid_run_clocks(self, field, bad):
+        # A NaN first_arrival would restore and drain to a NaN makespan with
+        # utilization 1.0, so every bad clock must fail before any mutation.
+        snapshot = self._snapshot(steps=30)
+        assert snapshot.payload["last_finish"] is not None
+        snapshot.payload[field] = bad
+        engine = _build_engine(_CONFIGS["homogeneous"])
+        with pytest.raises(ValueError, match=field):
+            engine.restore(snapshot)
+        assert not engine.states and engine.clock == 0.0  # still fresh
+
+    def test_apply_accepts_unset_optional_clocks(self):
+        snapshot = self._snapshot(steps=0)
+        assert snapshot.payload["last_finish"] is None
+        snapshot.payload["first_arrival"] = None
+        engine = _build_engine(_CONFIGS["homogeneous"])
+        engine.restore(snapshot)
+        assert engine.first_arrival is None and engine.last_finish is None
+        snapshot.payload["clock"] = None
+        with pytest.raises(ValueError, match="clock"):
+            _build_engine(_CONFIGS["homogeneous"]).restore(snapshot)
+
     def test_from_json_rejects_wrong_schema_and_shape(self):
         snapshot = self._snapshot()
         doc = snapshot.to_json()
